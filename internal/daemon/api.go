@@ -353,6 +353,7 @@ func (d *Daemon) handleV1Allocate(w http.ResponseWriter, r *http.Request) {
 		d.hists.Observe(obs.HistConfigLatency, 1e-6, time.Since(start).Microseconds())
 		writeJSON(w, http.StatusOK, AllocateResponse{Addr: out.addr.String(), Value: uint32(out.addr), Node: req.Node})
 	case <-time.After(d.cfg.AllocTimeout):
+		d.post(func() { d.dropAllocWaiter(res) })
 		writeError(w, http.StatusServiceUnavailable, "allocation timed out")
 	case <-d.done:
 		writeError(w, http.StatusServiceUnavailable, "daemon stopped")

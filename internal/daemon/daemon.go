@@ -25,7 +25,9 @@
 //
 // All protocol state lives on a single event-loop goroutine; the
 // transport's receive callback, timers and HTTP handlers post closures to
-// it, so there is no protocol-level locking.
+// it, so there is no protocol-level locking. Each turn of the loop ends
+// with one transport Flush, so everything a turn sends to one peer leaves
+// as one datagram, with the ACKs owed to that peer riding along.
 package daemon
 
 import (
@@ -103,13 +105,6 @@ type Config struct {
 	RetryBase   time.Duration
 	MaxAttempts int
 	DropRate    float64
-	// BatchFlushBytes/BatchFlushDelay enable transport frame coalescing:
-	// queued messages to one peer leave the socket as a single batch
-	// frame once the queue holds this many payload bytes or the oldest
-	// message has waited this long (see udptransport.Config). Both zero
-	// leaves batching off.
-	BatchFlushBytes int
-	BatchFlushDelay time.Duration
 	// AuthKey, when set, seals every outgoing datagram with
 	// HMAC-SHA256 and rejects unauthenticated input before any protocol
 	// state is touched (see udptransport.Config.AuthKey and DESIGN.md
@@ -281,7 +276,7 @@ type Daemon struct {
 	reclaims     map[radio.NodeID]*reclaimRun
 	joinInFlight map[radio.NodeID]bool
 	joinTries    int
-	allocWaiters []chan allocResult
+	allocWaiters map[uint64]chan allocResult // forwarded /allocate requests by span
 }
 
 type allocResult struct {
@@ -322,6 +317,7 @@ func New(cfg Config) (*Daemon, error) {
 		grants:       make(map[addrspace.Addr]voteGrant),
 		reclaims:     make(map[radio.NodeID]*reclaimRun),
 		joinInFlight: make(map[radio.NodeID]bool),
+		allocWaiters: make(map[uint64]chan allocResult),
 	}, nil
 }
 
@@ -330,19 +326,17 @@ func New(cfg Config) (*Daemon, error) {
 // joiner keeps retrying its seeds until one answers.
 func (d *Daemon) Start() error {
 	tr, err := udptransport.New(udptransport.Config{
-		ID:              d.cfg.ID,
-		Listen:          d.cfg.Listen,
-		Metrics:         d.coll,
-		RetryBase:       d.cfg.RetryBase,
-		MaxAttempts:     d.cfg.MaxAttempts,
-		DropRate:        d.cfg.DropRate,
-		BatchFlushBytes: d.cfg.BatchFlushBytes,
-		BatchFlushDelay: d.cfg.BatchFlushDelay,
-		AuthKey:         d.cfg.AuthKey,
-		RateLimit:       d.cfg.RateLimit,
-		RateBurst:       d.cfg.RateBurst,
-		Tracer:          d.tracer,
-		Histograms:      d.hists,
+		ID:          d.cfg.ID,
+		Listen:      d.cfg.Listen,
+		Metrics:     d.coll,
+		RetryBase:   d.cfg.RetryBase,
+		MaxAttempts: d.cfg.MaxAttempts,
+		DropRate:    d.cfg.DropRate,
+		AuthKey:     d.cfg.AuthKey,
+		RateLimit:   d.cfg.RateLimit,
+		RateBurst:   d.cfg.RateBurst,
+		Tracer:      d.tracer,
+		Histograms:  d.hists,
 	})
 	if err != nil {
 		return err
@@ -479,6 +473,8 @@ func (d *Daemon) Close() { d.Kill() }
 
 // --- event loop ----------------------------------------------------------
 
+// loop runs the event loop. A turn is the closure it woke for plus every
+// closure already queued behind it, then one transport Flush.
 func (d *Daemon) loop() {
 	defer close(d.loopWG)
 	for {
@@ -488,6 +484,10 @@ func (d *Daemon) loop() {
 		case fn := <-d.events:
 			fn()
 		}
+		for n := len(d.events); n > 0; n-- {
+			(<-d.events)()
+		}
+		d.tr.Flush()
 	}
 }
 
@@ -610,9 +610,9 @@ func (d *Daemon) sendSpan(dst radio.NodeID, typ string, cat metrics.Category, sp
 		return
 	}
 	env := &wire.Envelope{Type: typ, Dst: dst, Category: cat, Span: span, Payload: payload}
-	// Background context: the event loop must never block on a full peer
-	// queue, so full queues surface as ErrQueueFull and the protocol's
-	// own retries recover.
+	// Send only queues; the loop's end-of-turn Flush writes. A full peer
+	// backlog surfaces as ErrQueueFull and the protocol's own retries
+	// recover.
 	if err := d.tr.Send(context.Background(), env); err != nil {
 		d.coll.Inc("daemon.send_err")
 		d.logf("send %s to %d: %v", typ, dst, err)

@@ -3,13 +3,17 @@ package daemon
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"quorumconf/internal/addrspace"
+	"quorumconf/internal/msg"
 	"quorumconf/internal/radio"
+	"quorumconf/internal/transport/udptransport"
 )
 
 // testSpace is 10.0.0.1 - 10.0.0.64.
@@ -465,16 +469,13 @@ func ExampleStatusView() {
 	// Output: owner 10.0.0.1-10.0.0.64
 }
 
-// TestClusterWithBatchedTransport: the batch knobs pass through Config to
-// the transport and a cluster forms and allocates over coalesced frames.
-// The join handshake itself is mostly lock-step request/response (batches
-// of one fall back to plain frames), so the assertion is functional:
-// batching must not break or stall the protocol.
+// TestClusterWithBatchedTransport: every event-loop turn ends with one
+// transport Flush, so a turn's sends to one peer leave as a batch frame
+// and ACKs ride on replies. A cluster forms and allocates over that, the
+// join's grant turn (COM_CFG, REPLICA_DIST, UPDATE_LOCs) goes out batched,
+// and /v1/metrics serves the piggybacked-ACK counter.
 func TestClusterWithBatchedTransport(t *testing.T) {
-	daemons := newCluster(t, 3, func(c *Config) {
-		c.BatchFlushBytes = 16 * 1024
-		c.BatchFlushDelay = 2 * time.Millisecond
-	})
+	daemons := newCluster(t, 3)
 	waitFor(t, 15*time.Second, "3 daemons joined", func() bool {
 		for _, d := range daemons {
 			v, err := tryStatus(d)
@@ -486,5 +487,89 @@ func TestClusterWithBatchedTransport(t *testing.T) {
 	})
 	if v, code := allocate(t, daemons[0]); code != http.StatusOK || v.Addr == "" {
 		t.Fatalf("allocate over batched transport: code %d, view %+v", code, v)
+	}
+	if got := daemons[0].Metrics().Counter(udptransport.CtrBatchTx); got == 0 {
+		t.Error("owner sent no batch frames")
+	}
+	resp, err := http.Get("http://" + daemons[0].HTTPAddr() + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`(?m)^quorumd_transport_ack_piggybacked [1-9]`).Match(body) {
+		t.Errorf("/v1/metrics has no non-zero quorumd_transport_ack_piggybacked:\n%s", body)
+	}
+}
+
+// TestTimedOutForwardedGrantReturned: a member's /allocate that gives up
+// before the owner's grant arrives must not leak the grant. The waiter is
+// keyed by the request's span and dropped on timeout, so the late grant
+// goes back to the owner through RETURN_ADDR; the next caller gets a grant
+// of its own, and the owner's table holds no address without a holder.
+func TestTimedOutForwardedGrantReturned(t *testing.T) {
+	ds := newCluster(t, 2, func(c *Config) {
+		c.AllocTimeout = 500 * time.Millisecond
+		c.SuspectAfter = 10 * time.Second // the owner stall below must not look like a death
+	})
+	owner, member := ds[0], ds[1]
+	waitFor(t, 15*time.Second, "member joined", func() bool {
+		v, err := tryStatus(member)
+		return err == nil && v.Joined
+	})
+
+	// Stall the owner's event loop past the member's AllocTimeout: the
+	// first request gives up before its grant exists.
+	owner.post(func() { time.Sleep(1500 * time.Millisecond) })
+	if _, code := allocate(t, member); code != http.StatusServiceUnavailable {
+		t.Fatalf("first allocate: status %d, want %d (timed out)", code, http.StatusServiceUnavailable)
+	}
+	waitFor(t, 10*time.Second, "orphaned grant returned to the owner", func() bool {
+		return member.Metrics().Counter("daemon.orphan_grants") == 1 &&
+			owner.Metrics().Counter("daemon.addrs_returned") == 1
+	})
+
+	v, code := allocate(t, member)
+	if code != http.StatusOK {
+		t.Fatalf("second allocate: status %d", code)
+	}
+	got, err := addrspace.Parse(v.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	occupied := make(chan map[addrspace.Addr]bool, 1)
+	owner.post(func() {
+		occ := map[addrspace.Addr]bool{}
+		for a := testSpace.Lo; a <= testSpace.Hi; a++ {
+			if e, ok := owner.table.Get(a); ok && e.Status == addrspace.Occupied {
+				occ[a] = true
+			}
+		}
+		occupied <- occ
+	})
+	occ := <-occupied
+	// The owner's and member's own IPs plus the second grant — the orphan
+	// is free again.
+	if len(occ) != 3 || !occ[got] {
+		t.Errorf("owner table occupied %v, want the two daemon IPs and %v only", occ, got)
+	}
+
+	// A join grant the owner re-sends after a duplicate CH_REQ has no
+	// waiter either, but it is the member's own address: returning it
+	// would read as a graceful departure.
+	member.post(func() {
+		member.onGrant(owner.ID(), msg.ComCfg{Addr: member.selfIP, Configurer: owner.ID()}, member.joinSpan)
+	})
+	// Per-peer FIFO: the owner handles whatever that turn sent before the
+	// next allocation's COM_REQ.
+	allocate(t, member)
+	if n := member.Metrics().Counter("daemon.orphan_grants"); n != 1 {
+		t.Errorf("orphan grants = %d after a re-sent join grant, want still 1", n)
+	}
+	if v := getStatus(t, owner); !electorateIs(v, 1, 2) {
+		t.Errorf("owner electorate %v, want [1 2]", v.Electorate)
 	}
 }

@@ -31,7 +31,7 @@ func (d *Daemon) handle(env *wire.Envelope) {
 	case msg.ComCfg:
 		d.onGrant(env.Src, p, env.Span)
 	case msg.CfgNack:
-		d.onNack()
+		d.onNack(env.Span)
 	case msg.ReplicaDist:
 		d.onReplicaDist(env.Src, p)
 	case msg.ReplicaAck:
@@ -150,27 +150,43 @@ func (d *Daemon) onGrant(src radio.NodeID, g msg.ComCfg, span uint64) {
 		d.checkJoined()
 		return
 	}
+	d.sendTo(src, msg.TComAck, metrics.CatConfig, msg.ComAck{Addr: g.Addr})
+	w, ok := d.allocWaiters[span]
+	if !ok {
+		if g.Addr == d.selfIP {
+			return // our join grant again, re-sent after a duplicate CH_REQ
+		}
+		// Its HTTP request gave up before the grant arrived: no client will
+		// ever use the address, so hand it straight back to the owner.
+		d.coll.Inc("daemon.orphan_grants")
+		d.sendTo(src, msg.TReturnAddr, metrics.CatConfig,
+			msg.ReturnAddr{Configurer: d.cfg.ID, ConfigurerIP: d.selfIP, Addr: g.Addr})
+		return
+	}
+	delete(d.allocWaiters, span)
 	d.holders[g.Addr] = d.cfg.ID
 	d.trace(obs.Event{Kind: obs.EvAllocGrant, Peer: src, Addr: g.Addr, Span: span})
-	d.sendTo(src, msg.TComAck, metrics.CatConfig, msg.ComAck{Addr: g.Addr})
-	d.popAllocWaiter(allocResult{addr: g.Addr, ok: true})
+	w <- allocResult{addr: g.Addr, ok: true} // buffered; never blocks the loop
 }
 
 // onNack: an allocation we forwarded failed (space exhausted or no quorum).
 // Join failures need no handling — the join retry timer covers them.
-func (d *Daemon) onNack() {
-	if d.joined {
-		d.popAllocWaiter(allocResult{})
+func (d *Daemon) onNack(span uint64) {
+	if w, ok := d.allocWaiters[span]; ok {
+		delete(d.allocWaiters, span)
+		w <- allocResult{}
 	}
 }
 
-func (d *Daemon) popAllocWaiter(res allocResult) {
-	if len(d.allocWaiters) == 0 {
-		return
+// dropAllocWaiter forgets the waiter of an HTTP request that gave up, so a
+// late grant for it goes back to the owner instead of to nobody.
+func (d *Daemon) dropAllocWaiter(res chan allocResult) {
+	for span, w := range d.allocWaiters {
+		if w == res {
+			delete(d.allocWaiters, span)
+			return
+		}
 	}
-	w := d.allocWaiters[0]
-	d.allocWaiters = d.allocWaiters[1:]
-	w <- res // buffered; a timed-out HTTP waiter never blocks the loop
 }
 
 // onReplicaDist adopts the owner's authoritative view: electorate, owner
@@ -223,8 +239,10 @@ func (d *Daemon) checkJoined() {
 // --- allocation ballots --------------------------------------------------
 
 // allocateLocal serves one HTTP /allocate: the owner ballots directly,
-// members forward a COM_REQ to the owner and queue the waiter. Either way
-// the request mints a fresh span here — this daemon is the causal origin.
+// members forward a COM_REQ to the owner and file the waiter under the
+// request's span, which the owner's COM_CFG or CFG_NACK carries back.
+// Either way the request mints a fresh span here — this daemon is the
+// causal origin.
 func (d *Daemon) allocateLocal(res chan allocResult) {
 	if !d.joined {
 		res <- allocResult{}
@@ -246,7 +264,7 @@ func (d *Daemon) allocateLocal(res chan allocResult) {
 		return
 	}
 	d.trace(obs.Event{Kind: obs.EvAllocRequest, Peer: d.ownerID, Span: span, Detail: "forward"})
-	d.allocWaiters = append(d.allocWaiters, res)
+	d.allocWaiters[span] = res
 	d.sendSpan(d.ownerID, msg.TComReq, metrics.CatConfig, span, msg.ComReq{PathHops: 1})
 }
 

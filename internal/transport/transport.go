@@ -20,6 +20,8 @@ import (
 // invoke it from their own delivery context (the simulator goroutine for
 // simtransport, the socket read loop for udptransport), so handlers must
 // be fast and must not block; hand off to a channel for real work.
+// udptransport owes each delivery's ACK until its next Flush, which the
+// loop a handler hands off to calls once per turn.
 type Handler func(env *wire.Envelope)
 
 // Sentinel errors shared by implementations. Match them with errors.Is;
@@ -33,8 +35,7 @@ var (
 	// ErrClosed reports use after Close.
 	ErrClosed = errors.New("transport: closed")
 	// ErrQueueFull reports backpressure: the per-destination send queue
-	// is at capacity and the caller declined to wait (no cancellable
-	// context).
+	// is at capacity.
 	ErrQueueFull = errors.New("transport: send queue full")
 	// ErrRetriesExhausted reports that a message was transmitted
 	// MaxAttempts times without acknowledgement and was dropped.
@@ -51,10 +52,9 @@ var (
 type Transport interface {
 	// LocalID returns the node this transport endpoint belongs to.
 	LocalID() radio.NodeID
-	// Send queues env for delivery to env.Dst. The context bounds the
-	// hand-off to the fabric, not delivery: a caller holding a
-	// cancellable context waits for queue space until ctx is done, while
-	// context.Background() gets immediate ErrQueueFull backpressure.
+	// Send queues env for delivery to env.Dst. It never blocks: a done
+	// context fails fast, and a full per-destination queue returns
+	// ErrQueueFull.
 	Send(ctx context.Context, env *wire.Envelope) error
 	// SetHandler installs the delivery callback. Must be called before
 	// traffic is expected; a nil handler drops deliveries.

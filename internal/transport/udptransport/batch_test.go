@@ -13,36 +13,17 @@ import (
 	"quorumconf/internal/wire"
 )
 
-// TestBatchCoalescesBurst: with a flush delay configured, a burst of small
-// messages to one peer leaves the socket as a handful of batch frames, and
-// every envelope still arrives exactly once.
+// TestBatchCoalescesBurst: a burst of small messages queued in one turn
+// leaves the socket as a single batch frame at Flush, and every envelope
+// still arrives exactly once.
 func TestBatchCoalescesBurst(t *testing.T) {
 	ring := obs.NewRing(256)
-	a, err := New(Config{
-		ID:              1,
-		BatchFlushDelay: 50 * time.Millisecond,
-		Tracer:          obs.NewTracer(nil, ring),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.Close(context.Background()) })
-	b, err := New(Config{ID: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { b.Close(context.Background()) })
-	if err := a.AddPeer(2, b.LocalAddr().String()); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddPeer(1, a.LocalAddr().String()); err != nil {
-		t.Fatal(err)
-	}
+	a, b := newPairWith(t, Config{Tracer: obs.NewTracer(nil, ring)}, Config{})
 
 	const n = 20
 	var mu sync.Mutex
 	got := map[uint64]int{}
-	b.SetHandler(func(env *wire.Envelope) {
+	serve(b, func(env *wire.Envelope) {
 		mu.Lock()
 		defer mu.Unlock()
 		got[env.MsgID]++
@@ -52,6 +33,7 @@ func TestBatchCoalescesBurst(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	a.Flush()
 	waitFor(t, 5*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -64,14 +46,14 @@ func TestBatchCoalescesBurst(t *testing.T) {
 		}
 	}
 	mu.Unlock()
-	if tx := a.Metrics().Counter(CtrBatchTx); tx == 0 {
-		t.Error("burst produced no batch frames")
+	if tx := a.Metrics().Counter(CtrBatchTx); tx != 1 {
+		t.Errorf("burst produced %d batch frames, want 1", tx)
 	}
 	if rx := b.Metrics().Counter(CtrBatchRx); rx == 0 {
 		t.Error("receiver saw no batch frames")
 	}
-	if batched := a.Metrics().Counter(CtrBatched); batched < 2 {
-		t.Errorf("only %d envelopes rode batches", batched)
+	if batched := a.Metrics().Counter(CtrBatched); batched != n {
+		t.Errorf("%d envelopes rode batches, want %d", batched, n)
 	}
 	found := false
 	for _, e := range ring.Snapshot() {
@@ -140,39 +122,32 @@ func TestBatchRetransmitDeduped(t *testing.T) {
 	}
 }
 
-// TestBatchSendWaitShareFate: SendWait callers whose messages coalesce into
-// one batch all resolve with the batch's single acknowledgement.
+// TestBatchSendWaitShareFate: SendWait-style callers whose messages
+// coalesce into one batch all resolve with the batch's single
+// acknowledgement.
 func TestBatchSendWaitShareFate(t *testing.T) {
-	a, err := New(Config{ID: 1, BatchFlushDelay: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.Close(context.Background()) })
-	b, err := New(Config{ID: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { b.Close(context.Background()) })
-	if err := a.AddPeer(2, b.LocalAddr().String()); err != nil {
-		t.Fatal(err)
-	}
-	b.SetHandler(func(*wire.Envelope) {})
+	a, b := newPair(t)
+	serve(b, func(*wire.Envelope) {})
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	var wg sync.WaitGroup
-	errs := make([]error, 5)
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = a.SendWait(ctx, &wire.Envelope{Type: msg.TRepReq, Dst: 2, Category: metrics.CatSync, Payload: msg.RepReq{}})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("SendWait %d: %v", i, err)
+	results := make([]chan error, 5)
+	for i := range results {
+		results[i] = make(chan error, 1)
+		if err := a.send(context.Background(), &wire.Envelope{Type: msg.TRepReq, Dst: 2, Category: metrics.CatSync, Payload: msg.RepReq{}}, results[i]); err != nil {
+			t.Fatal(err)
 		}
+	}
+	a.Flush()
+	for i, res := range results {
+		select {
+		case err := <-res:
+			if err != nil {
+				t.Errorf("message %d: %v", i, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("message %d: no fate reported", i)
+		}
+	}
+	if got := a.Metrics().Counter(CtrBatchTx); got != 1 {
+		t.Errorf("batch frames = %d, want the 5 messages in 1", got)
 	}
 }

@@ -20,30 +20,13 @@ var clusterKey = []byte("cluster-key-0123456789abcdef0123")
 // newAuthPair is newPair with frame authentication on.
 func newAuthPair(t *testing.T, cfgA, cfgB Config) (*Transport, *Transport) {
 	t.Helper()
-	cfgA.ID, cfgB.ID = 1, 2
 	if cfgA.AuthKey == nil {
 		cfgA.AuthKey = clusterKey
 	}
 	if cfgB.AuthKey == nil {
 		cfgB.AuthKey = clusterKey
 	}
-	a, err := New(cfgA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.Close(context.Background()) })
-	b, err := New(cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { b.Close(context.Background()) })
-	if err := a.AddPeer(2, b.LocalAddr().String()); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddPeer(1, a.LocalAddr().String()); err != nil {
-		t.Fatal(err)
-	}
-	return a, b
+	return newPairWith(t, cfgA, cfgB)
 }
 
 func rawSocket(t *testing.T) *net.UDPConn {
@@ -90,7 +73,7 @@ func TestDropRateSentinel(t *testing.T) {
 func TestAuthPairDelivery(t *testing.T) {
 	a, b := newAuthPair(t, Config{}, Config{})
 	got := make(chan *wire.Envelope, 1)
-	b.SetHandler(func(env *wire.Envelope) { got <- env })
+	serve(b, func(env *wire.Envelope) { got <- env })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -173,7 +156,7 @@ func TestAuthReplayReorder(t *testing.T) {
 	a, b := newAuthPair(t, Config{}, Config{})
 	var mu sync.Mutex
 	got := map[uint64]int{}
-	b.SetHandler(func(env *wire.Envelope) {
+	serve(b, func(env *wire.Envelope) {
 		mu.Lock()
 		defer mu.Unlock()
 		got[env.MsgID]++

@@ -19,13 +19,14 @@ func TestSpanSurvivesSocket(t *testing.T) {
 	span := obs.MintSpan(1, 42)
 
 	got := make(chan uint64, 1)
-	b.SetHandler(func(env *wire.Envelope) { got <- env.Span })
+	serve(b, func(env *wire.Envelope) { got <- env.Span })
 	err := a.Send(context.Background(), &wire.Envelope{
 		Type: msg.TRepReq, Dst: 2, Category: metrics.CatSync, Span: span, Payload: msg.RepReq{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.Flush()
 	select {
 	case s := <-got:
 		if s != span {
@@ -43,35 +44,17 @@ func TestSpanSurvivesSocket(t *testing.T) {
 // the configured histogram registry.
 func TestSpanSurvivesBatchAndRetry(t *testing.T) {
 	hists := obs.NewHistograms()
-	a, err := New(Config{
-		ID:              1,
-		DropRate:        0.4,
-		RetryBase:       10 * time.Millisecond,
-		MaxAttempts:     12,
-		BatchFlushBytes: 16 * 1024,
-		BatchFlushDelay: 10 * time.Millisecond,
-		Histograms:      hists,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.Close(context.Background()) })
-	b, err := New(Config{ID: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { b.Close(context.Background()) })
-	if err := a.AddPeer(2, b.LocalAddr().String()); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddPeer(1, a.LocalAddr().String()); err != nil {
-		t.Fatal(err)
-	}
+	a, b := newPairWith(t, Config{
+		DropRate:    0.4,
+		RetryBase:   10 * time.Millisecond,
+		MaxAttempts: 12,
+		Histograms:  hists,
+	}, Config{})
 
 	const n = 40
 	var mu sync.Mutex
 	got := make(map[uint64]bool)
-	b.SetHandler(func(env *wire.Envelope) {
+	serve(b, func(env *wire.Envelope) {
 		mu.Lock()
 		defer mu.Unlock()
 		got[env.Span] = true
@@ -87,6 +70,9 @@ func TestSpanSurvivesBatchAndRetry(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if i%8 == 7 {
+			a.Flush() // a turn ends; later turns find the peer busy and wait
 		}
 	}
 	waitFor(t, 10*time.Second, func() bool {

@@ -4,8 +4,8 @@
 // are lost, reordered and duplicated. The transport adds the minimum ARQ a
 // deployable daemon needs without becoming TCP:
 //
-//   - per-destination send queues: one worker per peer drains messages in
-//     order, so a slow peer cannot stall traffic to the others;
+//   - a bounded backlog per destination and at most one frame in flight
+//     per peer, so a slow peer cannot stall traffic to the others;
 //   - stop-and-wait retransmission with exponential backoff plus jitter
 //     (base doubles per attempt, uniformly spread over [0.5x, 1.5x]);
 //   - positive acknowledgements by message ID, and receive-side
@@ -14,23 +14,28 @@
 //   - counters for every event, recorded into a metrics.SyncCollector and
 //     served by quorumd's /metrics endpoint.
 //
-// Frames on the socket are one byte of kind followed by the body:
+// # Turns
 //
-//	'D' <wire envelope>          data
-//	'B' <wire batch frame>       coalesced data (N envelopes, one header)
-//	'A' <uvarint message ID>     acknowledgement
+// Send only queues. The endpoint's owner calls Flush once per turn of its
+// event loop, and Flush writes one frame per idle peer from the caller's
+// goroutine: its backlog as a 'B' batch frame ('D' for a lone envelope).
+// When the frame's ACK arrives, the read loop sends that peer's next
+// backlog frame itself; retransmissions run from a per-frame timer. The
+// ACK for a received frame is owed to its sender: it rides in front of the
+// next frame to that peer, or leaves at the end of the turn as one
+// multi-ID ACK frame, so a request and its reply cost two datagrams. A
+// handler with no event loop behind it calls Flush itself. Duplicates and
+// frames from unregistered addresses are acked at once. On the socket:
 //
-// With BatchFlushBytes or BatchFlushDelay set, each destination worker
-// coalesces queued messages into one 'B' frame: everything already waiting
-// in the queue is drained greedily, then the worker lingers up to
-// BatchFlushDelay for stragglers or until BatchFlushBytes of payload
-// accumulate. A batch rides the normal stop-and-wait ARQ as a unit, keyed
-// on its first envelope's message ID; the receiver acknowledges that ID
-// once and delivers each inner envelope through the usual per-envelope
-// dedup, so a retransmitted batch cannot double-deliver.
+//	'D' <wire envelope>                      data
+//	'B' <wire batch frame>                   N envelopes, acked by the first's ID
+//	'A' <uvarint message ID>...              acknowledgements, one or more
+//	'K' <uvarint n> <n uvarint IDs> <D|B>    data carrying n acknowledgements
 //
-// A message that exhausts its attempts is dropped with a counter bump; the
-// protocol's own timeouts recover, exactly as they do over lossy radio.
+// A frame that exhausts its attempts, or whose write fails outright (a
+// datagram too large for the socket, say), is dropped with a counter bump
+// and the peer's next frame follows; the protocol's own timeouts recover,
+// exactly as they do over lossy radio.
 //
 // # Hardening
 //
@@ -46,11 +51,14 @@ package udptransport
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"quorumconf/internal/metrics"
@@ -63,29 +71,35 @@ import (
 
 // Frame kind bytes.
 const (
-	frameData  = 'D'
-	frameAck   = 'A'
-	frameBatch = 'B'
+	frameData      = 'D'
+	frameAck       = 'A'
+	frameBatch     = 'B'
+	framePiggyback = 'K'
 )
 
 // maxBatchBytes caps a batch frame's payload so it stays well inside one
-// 64 KiB UDP datagram regardless of BatchFlushBytes.
+// 64 KiB UDP datagram.
 const maxBatchBytes = 60000
+
+// maxOwed bounds the ACKs owed to one peer (and so the IDs one ACK frame
+// or piggyback prefix carries); frames received beyond it are acked at once.
+const maxOwed = 256
 
 // Counter names recorded into the collector.
 const (
-	CtrDataTx    = "transport.data_tx"    // data datagrams written (incl. retransmits)
-	CtrRetries   = "transport.retries"    // retransmissions
-	CtrAckTx     = "transport.ack_tx"     // acks written
-	CtrAckRx     = "transport.ack_rx"     // acks received
-	CtrDelivered = "transport.delivered"  // envelopes handed to the handler
-	CtrDupDrop   = "transport.dup_drop"   // duplicate data frames suppressed
-	CtrSendDrop  = "transport.send_drop"  // messages dropped after max attempts
-	CtrDecodeErr = "transport.decode_err" // undecodable frames received
-	CtrChaosDrop = "transport.chaos_drop" // outbound frames discarded by DropRate
-	CtrBatchTx   = "transport.batch_tx"   // batch frames written (excl. retransmits)
-	CtrBatchRx   = "transport.batch_rx"   // batch frames received
-	CtrBatched   = "transport.batched"    // envelopes that rode a batch frame out
+	CtrDataTx         = "transport.data_tx"         // data datagrams written (incl. retransmits)
+	CtrRetries        = "transport.retries"         // retransmissions
+	CtrAckTx          = "transport.ack_tx"          // standalone ACK datagrams written
+	CtrAckPiggybacked = "transport.ack_piggybacked" // ACKs that rode a data frame instead
+	CtrAckRx          = "transport.ack_rx"          // ACKs received, one per message ID
+	CtrDelivered      = "transport.delivered"       // envelopes handed to the handler
+	CtrDupDrop        = "transport.dup_drop"        // duplicate data frames suppressed
+	CtrSendDrop       = "transport.send_drop"       // messages dropped: queue full, write error, max attempts
+	CtrDecodeErr      = "transport.decode_err"      // undecodable frames received
+	CtrChaosDrop      = "transport.chaos_drop"      // outbound frames discarded by DropRate
+	CtrBatchTx        = "transport.batch_tx"        // batch frames written (excl. retransmits)
+	CtrBatchRx        = "transport.batch_rx"        // batch frames received
+	CtrBatched        = "transport.batched"         // envelopes that rode a batch frame out
 
 	CtrAuthReject  = "transport.auth_reject"  // datagrams failing authentication
 	CtrRateLimited = "transport.rate_limited" // datagrams dropped by the rate limiter
@@ -103,25 +117,14 @@ type Config struct {
 	// RetryBase is the first retransmission delay (default 30ms). Attempt
 	// n waits jittered RetryBase * 2^n.
 	RetryBase time.Duration
-	// MaxAttempts bounds transmissions per message (default 6).
+	// MaxAttempts bounds transmissions per frame (default 6).
 	MaxAttempts int
-	// QueueLen is the per-destination queue capacity (default 512).
+	// QueueLen is the per-destination backlog capacity (default 512).
 	QueueLen int
 	// DropRate discards outbound data frames with this probability, in
 	// [0, 1) — a chaos knob mirroring the netstack's loss model, for
 	// exercising retransmission against real sockets.
 	DropRate float64
-	// BatchFlushBytes enables frame coalescing: a destination's pending
-	// messages are flushed as one batch frame once their combined payload
-	// reaches this many bytes (capped internally to fit one datagram).
-	// Zero leaves the size trigger unset.
-	BatchFlushBytes int
-	// BatchFlushDelay is the coalescing deadline: after the first message
-	// of a batch is dequeued the worker lingers at most this long for
-	// more before flushing. Zero flushes as soon as the queue runs dry
-	// (greedy drain only). Batching is enabled when either batch knob is
-	// non-zero.
-	BatchFlushDelay time.Duration
 	// AuthKey, when non-empty, turns on frame authentication: every
 	// outbound datagram is sealed (wire.Seal, HMAC-SHA256) and inbound
 	// datagrams that fail wire.Open are dropped before any transport
@@ -176,13 +179,39 @@ type dedupKey struct {
 	id  uint64
 }
 
-// outgoing is one queued message. result is nil for fire-and-forget Send;
-// SendWait threads a buffered channel through it to learn the message's
-// fate (nil, ErrRetriesExhausted, ErrUnknownPeer or ErrClosed).
+// outgoing is one queued envelope, already encoded. result is nil for
+// fire-and-forget Send; SendWait threads a buffered channel through it to
+// learn the message's fate (nil, ErrRetriesExhausted or a write error).
 type outgoing struct {
-	frame  []byte
+	enc    []byte
 	msgID  uint64
 	result chan error
+}
+
+// peer is one destination's state, guarded by Transport.mu.
+type peer struct {
+	id      radio.NodeID
+	addr    *net.UDPAddr
+	backlog []outgoing // queued, not yet framed; at most QueueLen
+	flight  *flight    // the one unacknowledged frame; nil when idle
+	owed    []uint64   // IDs of frames received from this peer, not yet acked
+}
+
+// flight is a transmitted data frame waiting for its ACK.
+type flight struct {
+	p        *peer
+	id       uint64 // ACK key: the first envelope's message ID
+	datagram []byte // sealed socket bytes, resent verbatim
+	members  []outgoing
+	attempt  int
+	timer    *time.Timer
+}
+
+// write is one datagram to put on the socket once Transport.mu is released.
+type write struct {
+	addr *net.UDPAddr
+	buf  []byte
+	f    *flight // nil for an ACK frame
 }
 
 // Transport is one UDP endpoint. Safe for concurrent use.
@@ -192,9 +221,8 @@ type Transport struct {
 
 	mu       sync.Mutex
 	handler  transport.Handler
-	peers    map[radio.NodeID]*net.UDPAddr
-	queues   map[radio.NodeID]chan outgoing
-	acks     map[uint64]chan struct{}
+	peers    map[radio.NodeID]*peer
+	flights  map[uint64]*flight // in-flight frames by ACK key
 	seen     map[dedupKey]struct{}
 	seenRing []dedupKey
 	seenPos  int
@@ -225,13 +253,12 @@ func New(cfg Config) (*Transport, error) {
 		return nil, fmt.Errorf("udptransport: %w", err)
 	}
 	t := &Transport{
-		cfg:    cfg,
-		conn:   conn,
-		peers:  make(map[radio.NodeID]*net.UDPAddr),
-		queues: make(map[radio.NodeID]chan outgoing),
-		acks:   make(map[uint64]chan struct{}),
-		seen:   make(map[dedupKey]struct{}),
-		done:   make(chan struct{}),
+		cfg:     cfg,
+		conn:    conn,
+		peers:   make(map[radio.NodeID]*peer),
+		flights: make(map[uint64]*flight),
+		seen:    make(map[dedupKey]struct{}),
+		done:    make(chan struct{}),
 	}
 	t.wg.Add(1)
 	go t.readLoop()
@@ -265,47 +292,33 @@ func (t *Transport) AddPeer(id radio.NodeID, addr string) error {
 	if t.closed {
 		return transport.ErrClosed
 	}
-	t.peers[id] = uaddr
+	if p, ok := t.peers[id]; ok {
+		p.addr = uaddr
+	} else {
+		t.peers[id] = &peer{id: id, addr: uaddr}
+	}
 	return nil
 }
 
-// RemovePeer forgets a peer and stops its queue worker draining to it.
-func (t *Transport) RemovePeer(id radio.NodeID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.peers, id)
-}
-
-// Peers returns the currently known peer IDs.
-func (t *Transport) Peers() []radio.NodeID {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]radio.NodeID, 0, len(t.peers))
-	for id := range t.peers {
-		out = append(out, id)
-	}
-	return out
-}
-
-// Send implements transport.Transport: stamp, encode, enqueue. When the
-// destination queue is full, a caller with a cancellable context blocks
-// for space until the context is done; context.Background() (no Done
-// channel) gets immediate ErrQueueFull backpressure instead, so the
-// daemon's event loop can never wedge on a slow peer.
+// Send implements transport.Transport: stamp, encode, queue on the
+// destination's backlog. Nothing reaches the socket before the next Flush.
+// A full backlog returns ErrQueueFull at once, so the daemon's event loop
+// can never wedge on a slow peer.
 func (t *Transport) Send(ctx context.Context, env *wire.Envelope) error {
 	return t.send(ctx, env, nil)
 }
 
-// SendWait is Send that also waits for the message's fate: it returns nil
-// once the peer acknowledged the message, ErrRetriesExhausted if it was
-// dropped after MaxAttempts unacknowledged transmissions, or the context
-// error if ctx expires first (the transmission keeps running in that
-// case — UDP has no unsend).
+// SendWait is Send plus Flush that also waits for the message's fate: it
+// returns nil once the peer acknowledged the message, ErrRetriesExhausted
+// if it was dropped after MaxAttempts unacknowledged transmissions, or the
+// context error if ctx expires first (the transmission keeps running in
+// that case — UDP has no unsend).
 func (t *Transport) SendWait(ctx context.Context, env *wire.Envelope) error {
 	result := make(chan error, 1)
 	if err := t.send(ctx, env, result); err != nil {
 		return err
 	}
+	t.Flush()
 	select {
 	case err := <-result:
 		return err
@@ -327,57 +340,53 @@ func (t *Transport) send(ctx context.Context, env *wire.Envelope, result chan er
 	if env.Hops == 0 {
 		env.Hops = 1 // one socket hop; real deployments would count routes
 	}
-	frame := make([]byte, 1, 64)
-	frame[0] = frameData
-	frame, err := wire.AppendEncode(frame, env)
+	enc, err := wire.AppendEncode(make([]byte, 0, 64), env)
 	if err != nil {
 		return fmt.Errorf("udptransport: %w", err)
 	}
 
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.closed {
-		t.mu.Unlock()
 		return transport.ErrClosed
 	}
-	if _, ok := t.peers[env.Dst]; !ok {
-		t.mu.Unlock()
+	p, ok := t.peers[env.Dst]
+	if !ok {
 		return fmt.Errorf("%w: %d", transport.ErrUnknownPeer, env.Dst)
 	}
-	q, ok := t.queues[env.Dst]
-	if !ok {
-		q = make(chan outgoing, t.cfg.QueueLen)
-		t.queues[env.Dst] = q
-		t.wg.Add(1)
-		go t.sendLoop(env.Dst, q)
-	}
-	t.mu.Unlock()
-
-	out := outgoing{frame: frame, msgID: env.MsgID, result: result}
-	select {
-	case q <- out:
-		t.trace(obs.EvTransportSend, env.Dst, env.MsgID, env.Type)
-		return nil
-	default:
-	}
-	if ctx.Done() == nil {
+	if len(p.backlog) >= t.cfg.QueueLen {
 		t.cfg.Metrics.Inc(CtrSendDrop)
 		t.trace(obs.EvTransportDrop, env.Dst, env.MsgID, "queue_full")
 		return fmt.Errorf("%w: to %d", transport.ErrQueueFull, env.Dst)
 	}
-	select {
-	case q <- out:
-		t.trace(obs.EvTransportSend, env.Dst, env.MsgID, env.Type)
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.done:
-		return transport.ErrClosed
-	}
+	p.backlog = append(p.backlog, outgoing{enc: enc, msgID: env.MsgID, result: result})
+	t.trace(obs.EvTransportSend, env.Dst, env.MsgID, env.Type)
+	return nil
 }
 
-// Close implements transport.Transport: stop the workers, close the
-// socket, and wait for them to exit — up to ctx, after which Close returns
-// the context error while teardown finishes in the background.
+// Flush ends a turn: each idle peer's backlog leaves as one frame, and
+// ACKs still owed to a peer after that leave as one ACK frame. The
+// datagrams are written on the caller's goroutine.
+func (t *Transport) Flush() {
+	var ws []write
+	t.mu.Lock()
+	if !t.closed {
+		for _, p := range t.peers {
+			ws = t.launch(p, ws)
+			if len(p.owed) > 0 {
+				ws = append(ws, write{addr: p.addr, buf: t.seal(appendIDs([]byte{frameAck}, p.owed))})
+				p.owed = p.owed[:0]
+			}
+		}
+	}
+	t.mu.Unlock()
+	t.write(ws)
+}
+
+// Close implements transport.Transport: stop the retransmit timers, close
+// the socket, and wait for the read loop to exit — up to ctx, after which
+// Close returns the context error while teardown finishes in the
+// background.
 func (t *Transport) Close(ctx context.Context) error {
 	t.mu.Lock()
 	if t.closed {
@@ -386,6 +395,9 @@ func (t *Transport) Close(ctx context.Context) error {
 	}
 	t.closed = true
 	close(t.done)
+	for _, f := range t.flights {
+		f.timer.Stop()
+	}
 	t.mu.Unlock()
 	err := t.conn.Close()
 	idle := make(chan struct{})
@@ -403,205 +415,135 @@ func (t *Transport) Close(ctx context.Context) error {
 
 // trace emits a transport event when a tracer is configured.
 func (t *Transport) trace(kind obs.EventKind, peer radio.NodeID, msgID uint64, detail string) {
-	t.cfg.Tracer.Emit(obs.Event{
-		Kind:   kind,
-		Node:   t.cfg.ID,
-		Peer:   peer,
-		MsgID:  msgID,
-		Detail: detail,
-	})
+	t.cfg.Tracer.Emit(obs.Event{Kind: kind, Node: t.cfg.ID, Peer: peer, MsgID: msgID, Detail: detail})
 }
 
-// sendLoop drains one destination's queue: stop-and-wait with backoff.
-// With batching enabled, each iteration coalesces what the queue holds
-// (messages pile up naturally during the previous exchange's RTT) into a
-// single batch frame sharing one ARQ exchange.
-func (t *Transport) sendLoop(dst radio.NodeID, q chan outgoing) {
-	defer t.wg.Done()
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
+// launch frames the head of an idle peer's backlog, carrying every ACK
+// owed to it, puts the frame in flight and queues its first transmission
+// on ws. Called with t.mu held.
+func (t *Transport) launch(p *peer, ws []write) []write {
+	if p.flight != nil || len(p.backlog) == 0 {
+		return ws
 	}
-	batching := t.cfg.BatchFlushBytes > 0 || t.cfg.BatchFlushDelay > 0
-	for {
-		var out outgoing
-		select {
-		case <-t.done:
-			return
-		case out = <-q:
-		}
-
-		if batching {
-			if batch := t.collectBatch(q, out, timer); len(batch) > 1 {
-				t.transmitBatch(dst, batch, timer)
-				continue
-			}
-		}
-
-		ackCh := make(chan struct{}, 1)
-		t.mu.Lock()
-		t.acks[out.msgID] = ackCh
-		t.mu.Unlock()
-
-		err := t.transmit(dst, out, ackCh, timer)
-
-		t.mu.Lock()
-		delete(t.acks, out.msgID)
-		t.mu.Unlock()
-
-		if out.result != nil {
-			out.result <- err // buffered; never blocks the worker
-		}
+	n, size := 1, len(p.backlog[0].enc)
+	for n < len(p.backlog) && n < wire.MaxBatch && size+len(p.backlog[n].enc) <= maxBatchBytes {
+		size += len(p.backlog[n].enc)
+		n++
 	}
+	members := p.backlog[:n:n]
+	p.backlog = p.backlog[n:]
+
+	frame := make([]byte, 0, 16+binary.MaxVarintLen64*len(p.owed)+size+4*n)
+	if len(p.owed) > 0 && size <= maxBatchBytes { // else the prefix could push a lone envelope past the datagram limit
+		frame = binary.AppendUvarint(append(frame, framePiggyback), uint64(len(p.owed)))
+		frame = appendIDs(frame, p.owed)
+		t.cfg.Metrics.Add(CtrAckPiggybacked, int64(len(p.owed)))
+		p.owed = p.owed[:0]
+	}
+	if n == 1 {
+		frame = append(append(frame, frameData), members[0].enc...)
+	} else {
+		encs := make([][]byte, n)
+		for i, out := range members {
+			encs[i] = out.enc
+		}
+		// Cannot fail: 2 <= n <= wire.MaxBatch envelopes we encoded ourselves.
+		frame, _ = wire.AppendBatchRaw(append(frame, frameBatch), encs)
+		t.cfg.Metrics.Inc(CtrBatchTx)
+		t.cfg.Metrics.Add(CtrBatched, int64(n))
+		t.cfg.Histograms.Observe(obs.HistBatchOccupancy, 1, int64(n))
+		t.trace(obs.EvFrameBatched, p.id, members[0].msgID, "n="+strconv.Itoa(n))
+	}
+
+	// Seal once: the MAC is deterministic, so every retransmission reuses
+	// the same sealed bytes.
+	f := &flight{p: p, id: members[0].msgID, datagram: t.seal(frame), members: members}
+	f.timer = time.AfterFunc(jitter(t.cfg.RetryBase), func() { t.retransmit(f) })
+	p.flight = f
+	t.flights[f.id] = f
+	return append(ws, write{addr: p.addr, buf: f.datagram, f: f})
 }
 
-// collectBatch gathers messages for one batch frame: everything already
-// queued, then — when a flush delay is configured — stragglers until the
-// deadline. The size trigger flushes early once BatchFlushBytes (or the
-// datagram cap) of payload accumulate.
-func (t *Transport) collectBatch(q chan outgoing, first outgoing, timer *time.Timer) []outgoing {
-	limit := t.cfg.BatchFlushBytes
-	if limit <= 0 || limit > maxBatchBytes {
-		limit = maxBatchBytes
-	}
-	batch := []outgoing{first}
-	size := len(first.frame) - 1
-
-	// Greedy phase: drain what is already waiting.
-	for len(batch) < wire.MaxBatch && size < limit {
-		select {
-		case out := <-q:
-			batch = append(batch, out)
-			size += len(out.frame) - 1
-		default:
-			goto linger
-		}
-	}
-	return batch
-
-linger:
-	if t.cfg.BatchFlushDelay <= 0 {
-		return batch
-	}
-	timer.Reset(t.cfg.BatchFlushDelay)
-	for len(batch) < wire.MaxBatch && size < limit {
-		select {
-		case out := <-q:
-			batch = append(batch, out)
-			size += len(out.frame) - 1
-		case <-timer.C:
-			return batch
-		case <-t.done:
-			if !timer.Stop() {
-				<-timer.C
-			}
-			return batch
-		}
-	}
-	if !timer.Stop() {
-		<-timer.C
-	}
-	return batch
-}
-
-// transmitBatch sends a coalesced batch through the normal ARQ cycle as a
-// unit: one 'B' frame, acknowledged once by the first envelope's message
-// ID, with every member sharing the exchange's fate.
-func (t *Transport) transmitBatch(dst radio.NodeID, batch []outgoing, timer *time.Timer) {
-	frames := make([][]byte, len(batch))
-	for i, out := range batch {
-		frames[i] = out.frame[1:]
-	}
-	frame, err := wire.AppendBatchRaw([]byte{frameBatch}, frames)
-	if err != nil {
-		// Cannot happen for frames we encoded ourselves; fail the members
-		// rather than wedge the worker.
-		t.cfg.Metrics.Inc(CtrSendDrop)
-		for _, out := range batch {
-			if out.result != nil {
-				out.result <- err
-			}
-		}
-		return
-	}
-	t.cfg.Metrics.Inc(CtrBatchTx)
-	t.cfg.Metrics.Add(CtrBatched, int64(len(batch)))
-	t.cfg.Histograms.Observe(obs.HistBatchOccupancy, 1, int64(len(batch)))
-	t.trace(obs.EvFrameBatched, dst, batch[0].msgID, fmt.Sprintf("n=%d", len(batch)))
-
-	ackCh := make(chan struct{}, 1)
+// retransmit is a flight's timer: resend with the next backoff, or drop
+// the frame once MaxAttempts transmissions went unacknowledged and launch
+// the peer's next one.
+func (t *Transport) retransmit(f *flight) {
+	var ws []write
 	t.mu.Lock()
-	t.acks[batch[0].msgID] = ackCh
-	t.mu.Unlock()
-
-	res := t.transmit(dst, outgoing{frame: frame, msgID: batch[0].msgID}, ackCh, timer)
-
-	t.mu.Lock()
-	delete(t.acks, batch[0].msgID)
-	t.mu.Unlock()
-
-	for _, out := range batch {
-		if out.result != nil {
-			out.result <- res
-		}
-	}
-}
-
-// transmit runs the attempt/backoff cycle for one message and reports its
-// fate: nil once acknowledged, ErrRetriesExhausted after MaxAttempts,
-// ErrUnknownPeer if the peer was removed while queued, ErrClosed if the
-// transport shut down first.
-func (t *Transport) transmit(dst radio.NodeID, out outgoing, ackCh chan struct{}, timer *time.Timer) error {
-	// Seal once at the socket boundary: the MAC is deterministic, so every
-	// retransmission reuses the same sealed bytes, and frames stay
-	// plaintext while queued (batch composition slices them apart).
-	datagram, err := t.seal(out.frame)
-	if err != nil {
-		t.cfg.Metrics.Inc(CtrSendDrop)
-		return err
-	}
-	for attempt := 0; attempt < t.cfg.MaxAttempts; attempt++ {
-		t.mu.Lock()
-		addr, ok := t.peers[dst]
-		t.mu.Unlock()
-		if !ok {
-			t.cfg.Metrics.Inc(CtrSendDrop)
-			t.trace(obs.EvTransportDrop, dst, out.msgID, "peer_removed")
-			return fmt.Errorf("%w: %d", transport.ErrUnknownPeer, dst)
-		}
-		if attempt > 0 {
+	if f.p.flight == f && !t.closed { // else acked, dropped or closed meanwhile
+		f.attempt++
+		if f.attempt >= t.cfg.MaxAttempts {
+			t.drop(f, "retries_exhausted", fmt.Errorf("%w: to %d after %d attempts", transport.ErrRetriesExhausted, f.p.id, t.cfg.MaxAttempts))
+			ws = t.launch(f.p, ws)
+		} else {
 			t.cfg.Metrics.Inc(CtrRetries)
-			t.trace(obs.EvTransportRetry, dst, out.msgID, "")
+			t.trace(obs.EvTransportRetry, f.p.id, f.id, "")
+			f.timer.Reset(jitter(t.cfg.RetryBase << f.attempt))
+			ws = append(ws, write{addr: f.p.addr, buf: f.datagram, f: f})
+		}
+	}
+	t.mu.Unlock()
+	t.write(ws)
+}
+
+// land takes f out of flight. Called with t.mu held.
+func (t *Transport) land(f *flight) {
+	f.timer.Stop()
+	delete(t.flights, f.id)
+	f.p.flight = nil
+}
+
+// drop abandons an in-flight frame: one send_drop, a transport_drop event
+// with reason, and err to its SendWait callers. Called with t.mu held.
+func (t *Transport) drop(f *flight, reason string, err error) {
+	t.land(f)
+	t.cfg.Metrics.Inc(CtrSendDrop)
+	t.trace(obs.EvTransportDrop, f.p.id, f.id, reason)
+	settle(f.members, err)
+}
+
+// settle reports a fate to every SendWait caller among outs.
+func settle(outs []outgoing, err error) {
+	for _, out := range outs {
+		if out.result != nil {
+			out.result <- err // buffered; never blocks
+		}
+	}
+}
+
+// write puts datagrams on the socket. A data frame whose write fails
+// outright is dropped at once, so the peer's next frame can follow.
+func (t *Transport) write(ws []write) {
+	for len(ws) > 0 {
+		w := ws[0]
+		ws = ws[1:]
+		if w.f == nil {
+			if _, err := t.conn.WriteToUDP(w.buf, w.addr); err == nil {
+				t.cfg.Metrics.Inc(CtrAckTx)
+			}
+			continue
 		}
 		t.cfg.Metrics.Inc(CtrDataTx)
 		if t.cfg.DropRate > 0 && rand.Float64() < t.cfg.DropRate {
 			t.cfg.Metrics.Inc(CtrChaosDrop)
-		} else if _, err := t.conn.WriteToUDP(datagram, addr); err != nil {
-			select {
-			case <-t.done:
-				return transport.ErrClosed
-			default:
-			}
+			continue
 		}
-
-		timer.Reset(jitter(t.cfg.RetryBase << attempt))
-		select {
-		case <-ackCh:
-			if !timer.Stop() {
-				<-timer.C
+		if _, err := t.conn.WriteToUDP(w.buf, w.addr); err != nil && !transient(err) {
+			t.mu.Lock()
+			if w.f.p.flight == w.f && !t.closed {
+				t.drop(w.f, "write_error", fmt.Errorf("udptransport: %w", err))
+				ws = t.launch(w.f.p, ws)
 			}
-			return nil
-		case <-t.done:
-			if !timer.Stop() {
-				<-timer.C
-			}
-			return transport.ErrClosed
-		case <-timer.C:
+			t.mu.Unlock()
 		}
 	}
-	t.cfg.Metrics.Inc(CtrSendDrop)
-	t.trace(obs.EvTransportDrop, dst, out.msgID, "retries_exhausted")
-	return fmt.Errorf("%w: to %d after %d attempts", transport.ErrRetriesExhausted, dst, t.cfg.MaxAttempts)
+}
+
+// transient reports whether a failed write may succeed on retransmission:
+// the kernel was short of buffer space. Anything else (EMSGSIZE, say)
+// fails the same way on every attempt.
+func transient(err error) bool {
+	return errors.Is(err, syscall.ENOBUFS) || errors.Is(err, syscall.EAGAIN)
 }
 
 // jitter spreads d uniformly over [0.5d, 1.5d).
@@ -610,6 +552,30 @@ func jitter(d time.Duration) time.Duration {
 		return d
 	}
 	return d/2 + time.Duration(rand.Int63n(int64(d)))
+}
+
+// appendIDs appends each message ID as a uvarint.
+func appendIDs(b []byte, ids []uint64) []byte {
+	for _, id := range ids {
+		b = binary.AppendUvarint(b, id)
+	}
+	return b
+}
+
+// parseIDs reads n uvarint message IDs off the front of b (n < 0: until b
+// ends), at most maxOwed and at least one, and returns them with the rest
+// of b.
+func parseIDs(b []byte, n int) ([]uint64, []byte, bool) {
+	var ids []uint64
+	for len(ids) != n && (n >= 0 || len(b) > 0) {
+		id, k := binary.Uvarint(b)
+		if k <= 0 || len(ids) == maxOwed {
+			return nil, nil, false
+		}
+		ids = append(ids, id)
+		b = b[k:]
+	}
+	return ids, b, len(ids) > 0
 }
 
 // maxBuckets bounds the rate limiter's per-remote state so an attacker
@@ -699,89 +665,115 @@ func (t *Transport) readLoop() {
 				continue
 			}
 			frame = inner
-			if len(frame) < 1 {
-				t.cfg.Metrics.Inc(CtrDecodeErr)
-				continue
-			}
 		}
-		switch frame[0] {
-		case frameAck:
-			t.handleAck(frame[1:])
-		case frameData:
-			t.handleData(frame[1:], raddr)
-		case frameBatch:
-			t.handleBatch(frame[1:], raddr)
-		default:
+		if !t.receive(frame, raddr) {
 			t.cfg.Metrics.Inc(CtrDecodeErr)
 		}
 	}
 }
 
-func (t *Transport) handleAck(body []byte) {
-	msgID, n := binary.Uvarint(body)
-	if n <= 0 {
-		t.cfg.Metrics.Inc(CtrDecodeErr)
-		return
+// receive handles one authenticated frame and reports whether it decoded.
+// ACKs apply before the data they rode in on is delivered, so a reply
+// frees its request's in-flight slot first.
+func (t *Transport) receive(frame []byte, raddr *net.UDPAddr) bool {
+	if len(frame) < 1 {
+		return false
 	}
-	t.cfg.Metrics.Inc(CtrAckRx)
-	t.mu.Lock()
-	ch, ok := t.acks[msgID]
-	t.mu.Unlock()
-	if ok {
-		select {
-		case ch <- struct{}{}:
-		default:
+	kind, body := frame[0], frame[1:]
+	var acks []uint64
+	switch kind {
+	case frameAck:
+		ids, _, ok := parseIDs(body, -1)
+		if ok {
+			t.acked(ids)
 		}
+		return ok
+	case framePiggyback:
+		n, k := binary.Uvarint(body)
+		if k <= 0 || n == 0 || n > maxOwed {
+			return false
+		}
+		var ok bool
+		if acks, body, ok = parseIDs(body[k:], int(n)); !ok || len(body) < 1 {
+			return false
+		}
+		kind, body = body[0], body[1:]
 	}
-}
-
-func (t *Transport) handleData(body []byte, raddr *net.UDPAddr) {
-	env, err := wire.Decode(body)
-	if err != nil {
-		t.cfg.Metrics.Inc(CtrDecodeErr)
-		return
+	var envs []*wire.Envelope
+	switch kind {
+	case frameData:
+		env, err := wire.Decode(body)
+		if err != nil {
+			return false
+		}
+		envs = []*wire.Envelope{env}
+	case frameBatch:
+		var err error
+		if envs, err = wire.DecodeBatch(body); err != nil {
+			return false
+		}
+		t.cfg.Metrics.Inc(CtrBatchRx)
+	default:
+		return false
 	}
-
-	// Ack every valid data frame, duplicates included — the retransmit
-	// means the sender missed the previous ack.
-	t.sendAck(env.MsgID, raddr)
-	t.deliver(env)
-}
-
-// handleBatch unbundles a coalesced frame: one ack for the whole batch
-// (keyed on its first envelope, mirroring the sender's ARQ), then each
-// inner envelope through the usual per-envelope dedup and delivery.
-func (t *Transport) handleBatch(body []byte, raddr *net.UDPAddr) {
-	envs, err := wire.DecodeBatch(body)
-	if err != nil {
-		t.cfg.Metrics.Inc(CtrDecodeErr)
-		return
-	}
-	t.cfg.Metrics.Inc(CtrBatchRx)
-	t.sendAck(envs[0].MsgID, raddr)
+	t.ack(envs[0], raddr)
+	t.acked(acks)
 	for _, env := range envs {
 		t.deliver(env)
 	}
+	return true
 }
 
-func (t *Transport) sendAck(msgID uint64, raddr *net.UDPAddr) {
-	ack := binary.AppendUvarint([]byte{frameAck}, msgID)
-	ack, err := t.seal(ack)
-	if err != nil {
+// acked lands the flights the given IDs acknowledge and launches each
+// freed peer's next frame from the read loop.
+func (t *Transport) acked(ids []uint64) {
+	if len(ids) == 0 {
 		return
 	}
-	if _, err := t.conn.WriteToUDP(ack, raddr); err == nil {
-		t.cfg.Metrics.Inc(CtrAckTx)
+	var ws []write
+	t.mu.Lock()
+	t.cfg.Metrics.Add(CtrAckRx, int64(len(ids)))
+	for _, id := range ids {
+		if f, ok := t.flights[id]; ok {
+			t.land(f)
+			settle(f.members, nil)
+			ws = t.launch(f.p, ws)
+		}
+	}
+	t.mu.Unlock()
+	t.write(ws)
+}
+
+// ack acknowledges a received data frame by its first envelope's ID,
+// mirroring the sender's ARQ. The ACK is owed to a registered sender and
+// rides the next frame to it (possibly one this frame's own ACKs launch)
+// or leaves at the next Flush; a duplicate (the sender missed the
+// previous ACK) or a frame from an unregistered address is acked at once.
+func (t *Transport) ack(first *wire.Envelope, raddr *net.UDPAddr) {
+	t.mu.Lock()
+	_, dup := t.seen[dedupKey{src: first.Src, id: first.MsgID}]
+	p := t.peers[first.Src]
+	owe := !dup && p != nil && len(p.owed) < maxOwed && p.addr.Port == raddr.Port && p.addr.IP.Equal(raddr.IP)
+	if owe {
+		p.owed = append(p.owed, first.MsgID)
+	}
+	t.mu.Unlock()
+	if !owe {
+		if _, err := t.conn.WriteToUDP(t.seal(appendIDs([]byte{frameAck}, []uint64{first.MsgID})), raddr); err == nil {
+			t.cfg.Metrics.Inc(CtrAckTx)
+		}
 	}
 }
 
 // seal wraps a socket frame in an auth frame when authentication is on;
 // with no key it returns the frame unchanged.
-func (t *Transport) seal(frame []byte) ([]byte, error) {
+func (t *Transport) seal(frame []byte) []byte {
 	if len(t.cfg.AuthKey) == 0 {
-		return frame, nil
+		return frame
 	}
-	return wire.AppendSeal(make([]byte, 0, wire.AuthOverhead+len(frame)), t.cfg.AuthKey, frame)
+	// Cannot fail: the key is non-empty.
+	sealed, _ := wire.AppendSeal(make([]byte, 0, wire.AuthOverhead+len(frame)), t.cfg.AuthKey, frame)
+	return sealed
 }
 
 // deliver runs the dedup window and hands a received envelope to the

@@ -18,12 +18,20 @@ import (
 
 func newPair(t *testing.T) (*Transport, *Transport) {
 	t.Helper()
-	a, err := New(Config{ID: 1})
+	return newPairWith(t, Config{}, Config{})
+}
+
+// newPairWith binds endpoints 1 and 2 from the given configs and registers
+// each as the other's peer.
+func newPairWith(t *testing.T, cfgA, cfgB Config) (*Transport, *Transport) {
+	t.Helper()
+	cfgA.ID, cfgB.ID = 1, 2
+	a, err := New(cfgA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { a.Close(context.Background()) })
-	b, err := New(Config{ID: 2})
+	b, err := New(cfgB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,6 +43,15 @@ func newPair(t *testing.T) (*Transport, *Transport) {
 		t.Fatal(err)
 	}
 	return a, b
+}
+
+// serve installs h as tr's handler and ends every delivery with a Flush,
+// the way an event loop ends its turn, so owed ACKs leave promptly.
+func serve(tr *Transport, h transport.Handler) {
+	tr.SetHandler(func(env *wire.Envelope) {
+		h(env)
+		tr.Flush()
+	})
 }
 
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
@@ -55,12 +72,12 @@ func TestBidirectionalDelivery(t *testing.T) {
 
 	var mu sync.Mutex
 	gotA, gotB := map[uint64]bool{}, map[uint64]bool{}
-	a.SetHandler(func(env *wire.Envelope) {
+	serve(a, func(env *wire.Envelope) {
 		mu.Lock()
 		defer mu.Unlock()
 		gotA[env.MsgID] = true
 	})
-	b.SetHandler(func(env *wire.Envelope) {
+	serve(b, func(env *wire.Envelope) {
 		mu.Lock()
 		defer mu.Unlock()
 		gotB[env.MsgID] = true
@@ -74,6 +91,8 @@ func TestBidirectionalDelivery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	a.Flush()
+	b.Flush()
 	waitFor(t, 5*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -89,10 +108,11 @@ func TestPayloadSurvivesSocketRoundTrip(t *testing.T) {
 	want := msg.QuorumClt{BallotID: 42, Owner: 1, Addr: 77, Split: true, Allocator: 1}
 
 	got := make(chan *wire.Envelope, 1)
-	b.SetHandler(func(env *wire.Envelope) { got <- env })
+	serve(b, func(env *wire.Envelope) { got <- env })
 	if err := a.Send(context.Background(), &wire.Envelope{Type: msg.TQuorumClt, Dst: 2, Category: metrics.CatConfig, Payload: want}); err != nil {
 		t.Fatal(err)
 	}
+	a.Flush()
 	select {
 	case env := <-got:
 		if env.Src != 1 || env.Dst != 2 {
@@ -177,6 +197,7 @@ func TestRetransmitUntilAcked(t *testing.T) {
 	if err := a.Send(context.Background(), &wire.Envelope{Type: msg.TRepReq, Dst: 2, Category: metrics.CatSync, Payload: msg.RepReq{}}); err != nil {
 		t.Fatal(err)
 	}
+	a.Flush()
 	select {
 	case <-acked:
 	case <-time.After(10 * time.Second):
@@ -242,7 +263,7 @@ func TestDuplicateSuppression(t *testing.T) {
 // TestSendWaitAcked: SendWait returns nil once the peer acks.
 func TestSendWaitAcked(t *testing.T) {
 	a, b := newPair(t)
-	b.SetHandler(func(*wire.Envelope) {})
+	serve(b, func(*wire.Envelope) {})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := a.SendWait(ctx, &wire.Envelope{Type: msg.TRepReq, Dst: 2, Category: metrics.CatSync, Payload: msg.RepReq{}}); err != nil {
