@@ -22,7 +22,7 @@ import (
 )
 
 func run(borrowing bool) {
-	rt, err := quorumconf.NewRuntime(quorumconf.RuntimeConfig{Seed: 7, TransmissionRange: 150})
+	rt, err := quorumconf.New(quorumconf.WithSeed(7), quorumconf.WithTransmissionRange(150))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	rt, err := quorumconf.NewRuntime(quorumconf.RuntimeConfig{Seed: 3, TransmissionRange: 150})
+	rt, err := quorumconf.New(quorumconf.WithSeed(3), quorumconf.WithTransmissionRange(150))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 
 func newFixture(t *testing.T) (*protocol.Runtime, *Protocol) {
 	t.Helper()
-	rt, err := protocol.NewRuntime(protocol.RuntimeConfig{Seed: 1, TransmissionRange: 150})
+	rt, err := protocol.New(protocol.WithSeed(1), protocol.WithTransmissionRange(150))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestConfigurationIsCheap(t *testing.T) {
 
 func TestPeriodicSyncChargesQuadratically(t *testing.T) {
 	run := func(n int) int64 {
-		rt, err := protocol.NewRuntime(protocol.RuntimeConfig{Seed: 1, TransmissionRange: 300})
+		rt, err := protocol.New(protocol.WithSeed(1), protocol.WithTransmissionRange(300))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestAbruptDepartureBuddyReclaims(t *testing.T) {
 }
 
 func TestRemoteBlockTransferWhenNeighborExhausted(t *testing.T) {
-	rt, err := protocol.NewRuntime(protocol.RuntimeConfig{Seed: 1, TransmissionRange: 150})
+	rt, err := protocol.New(protocol.WithSeed(1), protocol.WithTransmissionRange(150))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 
 func newFixture(t *testing.T) (*protocol.Runtime, *Protocol) {
 	t.Helper()
-	rt, err := protocol.NewRuntime(protocol.RuntimeConfig{Seed: 1, TransmissionRange: 150})
+	rt, err := protocol.New(protocol.WithSeed(1), protocol.WithTransmissionRange(150))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 func BenchmarkConfigure50Nodes(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rt, err := protocol.NewRuntime(protocol.RuntimeConfig{Seed: int64(i + 1), TransmissionRange: 200})
+		rt, err := protocol.New(protocol.WithSeed(int64(i+1)), protocol.WithTransmissionRange(200))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -25,7 +25,7 @@ func newHarness(t *testing.T, params Params) *harness {
 
 func newHarnessRange(t *testing.T, params Params, rng float64) *harness {
 	t.Helper()
-	rt, err := protocol.NewRuntime(protocol.RuntimeConfig{Seed: 1, TransmissionRange: rng})
+	rt, err := protocol.New(protocol.WithSeed(1), protocol.WithTransmissionRange(rng))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func TestLargestBlockAllocatorChoice(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	rt, err := protocol.NewRuntime(protocol.RuntimeConfig{Seed: 1, TransmissionRange: 100})
+	rt, err := protocol.New(protocol.WithSeed(1), protocol.WithTransmissionRange(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +530,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestDefaultsApplied(t *testing.T) {
-	rt, err := protocol.NewRuntime(protocol.RuntimeConfig{Seed: 1, TransmissionRange: 100})
+	rt, err := protocol.New(protocol.WithSeed(1), protocol.WithTransmissionRange(100))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -240,7 +240,7 @@ func (p *Protocol) departHead(nd *node) {
 		members = append(members, memberRecord{Node: id, Addr: nd.members[id]})
 	}
 	_, sent := p.send(nd.id, target, msgChReturn, metrics.CatDeparture, chReturn{
-		Pool:    nd.pools,
+		Pool:    nd.pools.Clone(),
 		Members: members,
 	})
 	if !sent {

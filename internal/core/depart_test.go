@@ -187,3 +187,49 @@ func TestDepartureCountersAndNecrology(t *testing.T) {
 		t.Errorf("necrology = %+v", info)
 	}
 }
+
+// TestReturnedPoolNotShared: a departing head lingers for ConfigTimeout
+// after handing its block back in CH_RETURN, and its pool may still be
+// split in that window. The receiver must hold a copy: a table shared with
+// the departing head would lose its entries map under the receiver when
+// the head splits it.
+func TestReturnedPoolNotShared(t *testing.T) {
+	h := newHarness(t, smallSpace())
+	// Heads 3 (right) and 6 (left) both split from head 0, which keeps
+	// 1-16; head 3's 33-64 is then not adjacent to anything head 0 holds
+	// and joins its pool as a table of its own.
+	for i := 0; i < 4; i++ {
+		h.arriveAt(time.Duration(i*20)*time.Second, radio.NodeID(i), float64(i)*100, 0)
+	}
+	for i := 4; i < 7; i++ {
+		h.arriveAt(time.Duration(i*20)*time.Second, radio.NodeID(i), -float64(i-3)*100, 0)
+	}
+	h.departAt(160*time.Second, 3, true)
+	h.runUntil(161 * time.Second) // CH_RETURN delivered, head 3 not yet gone
+
+	nd0, nd3 := h.p.nodes[radio.NodeID(0)], h.p.nodes[radio.NodeID(3)]
+	if nd3 == nil || nd3.pools == nil || nd0 == nil || nd0.pools == nil {
+		t.Fatal("fixture: head 3 gone or a head without pools at the test point")
+	}
+	if got := h.p.rt.Coll.Counter(CounterAddrReturned); got != 1 {
+		t.Fatalf("fixture: %d CH_RETURNs received, want 1", got)
+	}
+	if got := len(nd0.pools.Tables()); got != 2 {
+		t.Fatalf("fixture: head 0 holds %d tables %v, want 2", got, nd0.pools.Blocks())
+	}
+	for _, mine := range nd0.pools.Tables() {
+		for _, theirs := range nd3.pools.Tables() {
+			if mine == theirs {
+				t.Errorf("head 0 holds table %v of departing head 3's pool", mine.Block())
+			}
+		}
+	}
+	if _, err := nd3.pools.SplitLargest(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tb := range nd0.pools.Tables() {
+		if _, err := tb.Mark(tb.Block().Hi, addrspace.Occupied); err != nil {
+			t.Errorf("head 0 table %v unusable after head 3 split: %v", tb.Block(), err)
+		}
+	}
+}

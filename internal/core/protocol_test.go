@@ -205,7 +205,7 @@ func TestChurnInvariant(t *testing.T) {
 	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rt, err := protocol.NewRuntime(protocol.RuntimeConfig{Seed: seed, TransmissionRange: 150})
+			rt, err := protocol.New(protocol.WithSeed(seed), protocol.WithTransmissionRange(150))
 			if err != nil {
 				t.Fatal(err)
 			}

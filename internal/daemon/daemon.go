@@ -402,12 +402,12 @@ func (d *Daemon) AddPeer(id radio.NodeID, addr string) error { return d.tr.AddPe
 // oldest first — the same view /v1/trace serves.
 func (d *Daemon) Trace() []obs.Event { return d.ring.Snapshot() }
 
-// Drain marks the daemon as shutting down: /v1/allocate (and its legacy
-// alias) refuse new work with 503 while in-flight protocol traffic keeps
-// flowing, so an operator can empty a node before Kill. Drain is
-// idempotent and safe under concurrent calls: exactly one caller observes
-// the transition (and triggers the trace event); every later or
-// concurrent call is a no-op returning false.
+// Drain marks the daemon as shutting down: /v1/allocate refuses new work
+// with 503 while in-flight protocol traffic keeps flowing, so an operator
+// can empty a node before Kill. Drain is idempotent and safe under
+// concurrent calls: exactly one caller observes the transition (and
+// triggers the trace event); every later or concurrent call is a no-op
+// returning false.
 func (d *Daemon) Drain() bool {
 	if d.draining.Swap(true) {
 		return false

@@ -28,7 +28,7 @@ type TraceEvent struct {
 // form at nodes 0, 3 and 6; the returned events are those exchanged while
 // node 6 configures.
 func Table1Trace() ([]TraceEvent, error) {
-	rt, err := protocol.NewRuntime(protocol.RuntimeConfig{Seed: 1, TransmissionRange: 150})
+	rt, err := protocol.New(protocol.WithSeed(1), protocol.WithTransmissionRange(150))
 	if err != nil {
 		return nil, err
 	}

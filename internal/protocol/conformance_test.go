@@ -264,7 +264,7 @@ func TestConformanceScalesWithoutPanic(t *testing.T) {
 }
 
 func ExampleProtocol() {
-	rt, err := protocol.NewRuntime(protocol.RuntimeConfig{Seed: 1, TransmissionRange: 150})
+	rt, err := protocol.New(protocol.WithSeed(1), protocol.WithTransmissionRange(150))
 	if err != nil {
 		panic(err)
 	}

@@ -52,21 +52,6 @@ type Runtime struct {
 	clock obs.Clock
 }
 
-// RuntimeConfig parameterizes NewRuntime.
-//
-// Deprecated: new code should call New with functional options
-// (WithSeed, WithTransmissionRange, WithPerHopDelay, WithTracer,
-// WithCollector, WithClock), which extend without breaking callers.
-type RuntimeConfig struct {
-	// Seed drives every random choice in the run.
-	Seed int64
-	// TransmissionRange is tr in meters (150 in most of the paper).
-	TransmissionRange float64
-	// PerHopDelay is the one-hop transmission latency. Defaults to 5ms
-	// when zero.
-	PerHopDelay time.Duration
-}
-
 // DefaultPerHop is the one-hop delay used when no option overrides it.
 const DefaultPerHop = 5 * time.Millisecond
 
@@ -146,17 +131,6 @@ func New(opts ...Option) (*Runtime, error) {
 		rt.clock = s.Now
 	}
 	return rt, nil
-}
-
-// NewRuntime assembles a runtime from the legacy config struct.
-//
-// Deprecated: use New with functional options.
-func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
-	return New(
-		WithSeed(cfg.Seed),
-		WithTransmissionRange(cfg.TransmissionRange),
-		WithPerHopDelay(cfg.PerHopDelay),
-	)
 }
 
 // Trace stamps e with the runtime's clock (virtual time by default) and

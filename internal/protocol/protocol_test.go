@@ -8,8 +8,8 @@ import (
 	"quorumconf/internal/netstack"
 )
 
-func TestNewRuntimeDefaults(t *testing.T) {
-	rt, err := NewRuntime(RuntimeConfig{Seed: 1, TransmissionRange: 150})
+func TestNewDefaults(t *testing.T) {
+	rt, err := New(WithSeed(1), WithTransmissionRange(150))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,8 +24,8 @@ func TestNewRuntimeDefaults(t *testing.T) {
 	}
 }
 
-func TestNewRuntimeCustomPerHop(t *testing.T) {
-	rt, err := NewRuntime(RuntimeConfig{Seed: 1, TransmissionRange: 100, PerHopDelay: 20 * time.Millisecond})
+func TestNewCustomPerHop(t *testing.T) {
+	rt, err := New(WithSeed(1), WithTransmissionRange(100), WithPerHopDelay(20*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,17 +34,17 @@ func TestNewRuntimeCustomPerHop(t *testing.T) {
 	}
 }
 
-func TestNewRuntimeValidation(t *testing.T) {
-	if _, err := NewRuntime(RuntimeConfig{Seed: 1, TransmissionRange: 0}); err == nil {
+func TestNewValidation(t *testing.T) {
+	if _, err := New(WithSeed(1), WithTransmissionRange(0)); err == nil {
 		t.Error("zero transmission range accepted")
 	}
-	if _, err := NewRuntime(RuntimeConfig{Seed: 1, TransmissionRange: -5}); err == nil {
+	if _, err := New(WithSeed(1), WithTransmissionRange(-5)); err == nil {
 		t.Error("negative transmission range accepted")
 	}
 }
 
 func TestRemoveNode(t *testing.T) {
-	rt, err := NewRuntime(RuntimeConfig{Seed: 1, TransmissionRange: 150})
+	rt, err := New(WithSeed(1), WithTransmissionRange(150))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestRemoveNode(t *testing.T) {
 
 func TestRuntimeDeterministicSeed(t *testing.T) {
 	draws := func(seed int64) []int64 {
-		rt, err := NewRuntime(RuntimeConfig{Seed: seed, TransmissionRange: 100})
+		rt, err := New(WithSeed(seed), WithTransmissionRange(100))
 		if err != nil {
 			t.Fatal(err)
 		}

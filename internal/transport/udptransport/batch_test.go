@@ -122,32 +122,34 @@ func TestBatchRetransmitDeduped(t *testing.T) {
 	}
 }
 
-// TestBatchSendWaitShareFate: SendWait-style callers whose messages
-// coalesce into one batch all resolve with the batch's single
-// acknowledgement.
-func TestBatchSendWaitShareFate(t *testing.T) {
+// TestBatchSharesOneAck: messages that coalesce into one batch all
+// resolve with the batch's single acknowledgement: one ACK lands the
+// frame, every message is delivered, and nothing stays in flight.
+func TestBatchSharesOneAck(t *testing.T) {
 	a, b := newPair(t)
 	serve(b, func(*wire.Envelope) {})
 
-	results := make([]chan error, 5)
-	for i := range results {
-		results[i] = make(chan error, 1)
-		if err := a.send(context.Background(), &wire.Envelope{Type: msg.TRepReq, Dst: 2, Category: metrics.CatSync, Payload: msg.RepReq{}}, results[i]); err != nil {
+	const n = 5
+	for i := 0; i < n; i++ {
+		if err := a.Send(context.Background(), &wire.Envelope{Type: msg.TRepReq, Dst: 2, Category: metrics.CatSync, Payload: msg.RepReq{}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	a.Flush()
-	for i, res := range results {
-		select {
-		case err := <-res:
-			if err != nil {
-				t.Errorf("message %d: %v", i, err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("message %d: no fate reported", i)
-		}
+	waitFor(t, 5*time.Second, func() bool { return a.Metrics().Counter(CtrAckRx) == 1 })
+	if got := b.Metrics().Counter(CtrDelivered); got != n {
+		t.Errorf("delivered %d messages, want %d", got, n)
 	}
 	if got := a.Metrics().Counter(CtrBatchTx); got != 1 {
-		t.Errorf("batch frames = %d, want the 5 messages in 1", got)
+		t.Errorf("batch frames = %d, want the %d messages in 1", got, n)
+	}
+	if got := a.Metrics().Counter(CtrSendDrop); got != 0 {
+		t.Errorf("send drops = %d, want 0", got)
+	}
+	a.mu.Lock()
+	inFlight := len(a.flights)
+	a.mu.Unlock()
+	if inFlight != 0 {
+		t.Errorf("%d frames still in flight after the ACK", inFlight)
 	}
 }

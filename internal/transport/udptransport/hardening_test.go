@@ -75,12 +75,8 @@ func TestAuthPairDelivery(t *testing.T) {
 	got := make(chan *wire.Envelope, 1)
 	serve(b, func(env *wire.Envelope) { got <- env })
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
 	want := msg.QuorumClt{BallotID: 9, Owner: 1, Addr: 12, Allocator: 1}
-	if err := a.SendWait(ctx, &wire.Envelope{Type: msg.TQuorumClt, Dst: 2, Category: metrics.CatConfig, Payload: want}); err != nil {
-		t.Fatalf("SendWait with auth: %v", err)
-	}
+	sendAcked(t, a, &wire.Envelope{Type: msg.TQuorumClt, Dst: 2, Category: metrics.CatConfig, Payload: want})
 	select {
 	case env := <-got:
 		if env.Payload != want {
@@ -195,11 +191,7 @@ func TestAuthReplayReorder(t *testing.T) {
 
 	// The replay storm must not have corrupted ARQ state: a normal
 	// acknowledged exchange still works.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := a.SendWait(ctx, &wire.Envelope{Type: msg.TRepReq, Dst: 2, Category: metrics.CatSync, Payload: msg.RepReq{}}); err != nil {
-		t.Fatalf("SendWait after replay storm: %v", err)
-	}
+	sendAcked(t, a, &wire.Envelope{Type: msg.TRepReq, Dst: 2, Category: metrics.CatSync, Payload: msg.RepReq{}})
 }
 
 // TestRateLimit: a flood from one remote is clamped to the bucket budget;

@@ -27,11 +27,7 @@ func TestAckPiggybackedOnReply(t *testing.T) {
 	replies := make(chan *wire.Envelope, 1)
 	serve(a, func(env *wire.Envelope) { replies <- env })
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := a.SendWait(ctx, &wire.Envelope{Type: msg.TQuorumClt, Dst: 2, Category: metrics.CatConfig, Payload: msg.QuorumClt{BallotID: 1, Owner: 1, Addr: 9, Allocator: 1}}); err != nil {
-		t.Fatalf("request not acknowledged: %v", err)
-	}
+	sendAcked(t, a, &wire.Envelope{Type: msg.TQuorumClt, Dst: 2, Category: metrics.CatConfig, Payload: msg.QuorumClt{BallotID: 1, Owner: 1, Addr: 9, Allocator: 1}})
 	select {
 	case <-replies:
 	case <-time.After(5 * time.Second):

@@ -12,7 +12,7 @@
 //     deduplication by (source, message ID) so retransmitted datagrams
 //     deliver exactly once per endpoint lifetime window;
 //   - counters for every event, recorded into a metrics.SyncCollector and
-//     served by quorumd's /metrics endpoint.
+//     served by quorumd's /v1/metrics endpoint.
 //
 // # Turns
 //
@@ -65,8 +65,25 @@ import (
 	"quorumconf/internal/netstack"
 	"quorumconf/internal/obs"
 	"quorumconf/internal/radio"
-	"quorumconf/internal/transport"
 	"quorumconf/internal/wire"
+)
+
+// Handler consumes envelopes delivered to the local node. The read loop
+// invokes it, so a handler must be fast and must not block: hand off to a
+// channel or event loop for real work. Each delivery's ACK is owed until
+// the next Flush, which that loop calls once per turn.
+type Handler func(env *wire.Envelope)
+
+// Errors returned by Send and AddPeer. Match them with errors.Is; Send
+// wraps them with destination detail.
+var (
+	// ErrUnknownPeer reports a destination with no registered address.
+	ErrUnknownPeer = errors.New("udptransport: unknown peer")
+	// ErrClosed reports use after Close.
+	ErrClosed = errors.New("udptransport: closed")
+	// ErrQueueFull reports backpressure: the destination's backlog is at
+	// QueueLen.
+	ErrQueueFull = errors.New("udptransport: send queue full")
 )
 
 // Frame kind bytes.
@@ -179,13 +196,10 @@ type dedupKey struct {
 	id  uint64
 }
 
-// outgoing is one queued envelope, already encoded. result is nil for
-// fire-and-forget Send; SendWait threads a buffered channel through it to
-// learn the message's fate (nil, ErrRetriesExhausted or a write error).
+// outgoing is one queued envelope, already encoded.
 type outgoing struct {
-	enc    []byte
-	msgID  uint64
-	result chan error
+	enc   []byte
+	msgID uint64
 }
 
 // peer is one destination's state, guarded by Transport.mu.
@@ -202,7 +216,6 @@ type flight struct {
 	p        *peer
 	id       uint64 // ACK key: the first envelope's message ID
 	datagram []byte // sealed socket bytes, resent verbatim
-	members  []outgoing
 	attempt  int
 	timer    *time.Timer
 }
@@ -220,7 +233,7 @@ type Transport struct {
 	conn *net.UDPConn
 
 	mu       sync.Mutex
-	handler  transport.Handler
+	handler  Handler
 	peers    map[radio.NodeID]*peer
 	flights  map[uint64]*flight // in-flight frames by ACK key
 	seen     map[dedupKey]struct{}
@@ -232,8 +245,6 @@ type Transport struct {
 	done   chan struct{}
 	wg     sync.WaitGroup
 }
-
-var _ transport.Transport = (*Transport)(nil)
 
 // New binds the socket and starts the receive loop.
 func New(cfg Config) (*Transport, error) {
@@ -265,17 +276,15 @@ func New(cfg Config) (*Transport, error) {
 	return t, nil
 }
 
-// LocalID implements transport.Transport.
-func (t *Transport) LocalID() radio.NodeID { return t.cfg.ID }
-
 // LocalAddr returns the bound UDP address (useful with ephemeral ports).
 func (t *Transport) LocalAddr() *net.UDPAddr { return t.conn.LocalAddr().(*net.UDPAddr) }
 
 // Metrics returns the collector the transport records into.
 func (t *Transport) Metrics() *metrics.SyncCollector { return t.cfg.Metrics }
 
-// SetHandler implements transport.Transport.
-func (t *Transport) SetHandler(h transport.Handler) {
+// SetHandler installs the delivery callback. Install it before traffic is
+// expected; a nil handler drops deliveries.
+func (t *Transport) SetHandler(h Handler) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.handler = h
@@ -290,7 +299,7 @@ func (t *Transport) AddPeer(id radio.NodeID, addr string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
-		return transport.ErrClosed
+		return ErrClosed
 	}
 	if p, ok := t.peers[id]; ok {
 		p.addr = uaddr
@@ -300,36 +309,13 @@ func (t *Transport) AddPeer(id radio.NodeID, addr string) error {
 	return nil
 }
 
-// Send implements transport.Transport: stamp, encode, queue on the
-// destination's backlog. Nothing reaches the socket before the next Flush.
-// A full backlog returns ErrQueueFull at once, so the daemon's event loop
-// can never wedge on a slow peer.
+// Send stamps env (Src, a fresh MsgID when zero, Hops), encodes it and
+// queues it on the destination's backlog. Nothing reaches the socket
+// before the next Flush. A done ctx fails fast, and a full backlog returns
+// ErrQueueFull at once, so the daemon's event loop can never wedge on a
+// slow peer. A nil return does not promise delivery: a frame that exhausts
+// its attempts shows only as send_drop and a transport_drop event.
 func (t *Transport) Send(ctx context.Context, env *wire.Envelope) error {
-	return t.send(ctx, env, nil)
-}
-
-// SendWait is Send plus Flush that also waits for the message's fate: it
-// returns nil once the peer acknowledged the message, ErrRetriesExhausted
-// if it was dropped after MaxAttempts unacknowledged transmissions, or the
-// context error if ctx expires first (the transmission keeps running in
-// that case — UDP has no unsend).
-func (t *Transport) SendWait(ctx context.Context, env *wire.Envelope) error {
-	result := make(chan error, 1)
-	if err := t.send(ctx, env, result); err != nil {
-		return err
-	}
-	t.Flush()
-	select {
-	case err := <-result:
-		return err
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.done:
-		return transport.ErrClosed
-	}
-}
-
-func (t *Transport) send(ctx context.Context, env *wire.Envelope, result chan error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -348,18 +334,18 @@ func (t *Transport) send(ctx context.Context, env *wire.Envelope, result chan er
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
-		return transport.ErrClosed
+		return ErrClosed
 	}
 	p, ok := t.peers[env.Dst]
 	if !ok {
-		return fmt.Errorf("%w: %d", transport.ErrUnknownPeer, env.Dst)
+		return fmt.Errorf("%w: %d", ErrUnknownPeer, env.Dst)
 	}
 	if len(p.backlog) >= t.cfg.QueueLen {
 		t.cfg.Metrics.Inc(CtrSendDrop)
 		t.trace(obs.EvTransportDrop, env.Dst, env.MsgID, "queue_full")
-		return fmt.Errorf("%w: to %d", transport.ErrQueueFull, env.Dst)
+		return fmt.Errorf("%w: to %d", ErrQueueFull, env.Dst)
 	}
-	p.backlog = append(p.backlog, outgoing{enc: enc, msgID: env.MsgID, result: result})
+	p.backlog = append(p.backlog, outgoing{enc: enc, msgID: env.MsgID})
 	t.trace(obs.EvTransportSend, env.Dst, env.MsgID, env.Type)
 	return nil
 }
@@ -383,10 +369,10 @@ func (t *Transport) Flush() {
 	t.write(ws)
 }
 
-// Close implements transport.Transport: stop the retransmit timers, close
-// the socket, and wait for the read loop to exit — up to ctx, after which
-// Close returns the context error while teardown finishes in the
-// background.
+// Close stops the retransmit timers, closes the socket, and waits for the
+// read loop to exit — up to ctx, after which Close returns the context
+// error while teardown finishes in the background. Further Sends return
+// ErrClosed.
 func (t *Transport) Close(ctx context.Context) error {
 	t.mu.Lock()
 	if t.closed {
@@ -457,7 +443,7 @@ func (t *Transport) launch(p *peer, ws []write) []write {
 
 	// Seal once: the MAC is deterministic, so every retransmission reuses
 	// the same sealed bytes.
-	f := &flight{p: p, id: members[0].msgID, datagram: t.seal(frame), members: members}
+	f := &flight{p: p, id: members[0].msgID, datagram: t.seal(frame)}
 	f.timer = time.AfterFunc(jitter(t.cfg.RetryBase), func() { t.retransmit(f) })
 	p.flight = f
 	t.flights[f.id] = f
@@ -473,7 +459,7 @@ func (t *Transport) retransmit(f *flight) {
 	if f.p.flight == f && !t.closed { // else acked, dropped or closed meanwhile
 		f.attempt++
 		if f.attempt >= t.cfg.MaxAttempts {
-			t.drop(f, "retries_exhausted", fmt.Errorf("%w: to %d after %d attempts", transport.ErrRetriesExhausted, f.p.id, t.cfg.MaxAttempts))
+			t.drop(f, "retries_exhausted")
 			ws = t.launch(f.p, ws)
 		} else {
 			t.cfg.Metrics.Inc(CtrRetries)
@@ -493,22 +479,12 @@ func (t *Transport) land(f *flight) {
 	f.p.flight = nil
 }
 
-// drop abandons an in-flight frame: one send_drop, a transport_drop event
-// with reason, and err to its SendWait callers. Called with t.mu held.
-func (t *Transport) drop(f *flight, reason string, err error) {
+// drop abandons an in-flight frame: one send_drop and a transport_drop
+// event with reason. Called with t.mu held.
+func (t *Transport) drop(f *flight, reason string) {
 	t.land(f)
 	t.cfg.Metrics.Inc(CtrSendDrop)
 	t.trace(obs.EvTransportDrop, f.p.id, f.id, reason)
-	settle(f.members, err)
-}
-
-// settle reports a fate to every SendWait caller among outs.
-func settle(outs []outgoing, err error) {
-	for _, out := range outs {
-		if out.result != nil {
-			out.result <- err // buffered; never blocks
-		}
-	}
 }
 
 // write puts datagrams on the socket. A data frame whose write fails
@@ -531,7 +507,7 @@ func (t *Transport) write(ws []write) {
 		if _, err := t.conn.WriteToUDP(w.buf, w.addr); err != nil && !transient(err) {
 			t.mu.Lock()
 			if w.f.p.flight == w.f && !t.closed {
-				t.drop(w.f, "write_error", fmt.Errorf("udptransport: %w", err))
+				t.drop(w.f, "write_error")
 				ws = t.launch(w.f.p, ws)
 			}
 			t.mu.Unlock()
@@ -736,7 +712,6 @@ func (t *Transport) acked(ids []uint64) {
 	for _, id := range ids {
 		if f, ok := t.flights[id]; ok {
 			t.land(f)
-			settle(f.members, nil)
 			ws = t.launch(f.p, ws)
 		}
 	}

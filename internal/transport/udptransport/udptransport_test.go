@@ -12,7 +12,6 @@ import (
 	"quorumconf/internal/metrics"
 	"quorumconf/internal/msg"
 	"quorumconf/internal/obs"
-	"quorumconf/internal/transport"
 	"quorumconf/internal/wire"
 )
 
@@ -47,11 +46,24 @@ func newPairWith(t *testing.T, cfgA, cfgB Config) (*Transport, *Transport) {
 
 // serve installs h as tr's handler and ends every delivery with a Flush,
 // the way an event loop ends its turn, so owed ACKs leave promptly.
-func serve(tr *Transport, h transport.Handler) {
+func serve(tr *Transport, h Handler) {
 	tr.SetHandler(func(env *wire.Envelope) {
 		h(env)
 		tr.Flush()
 	})
+}
+
+// sendAcked sends env from tr, ends the turn with a Flush, and waits until
+// tr has received one more ACK than before: the observable fate of an
+// acknowledged send.
+func sendAcked(t *testing.T, tr *Transport, env *wire.Envelope) {
+	t.Helper()
+	before := tr.Metrics().Counter(CtrAckRx)
+	if err := tr.Send(context.Background(), env); err != nil {
+		t.Fatal(err)
+	}
+	tr.Flush()
+	waitFor(t, 5*time.Second, func() bool { return tr.Metrics().Counter(CtrAckRx) > before })
 }
 
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
@@ -129,7 +141,7 @@ func TestPayloadSurvivesSocketRoundTrip(t *testing.T) {
 func TestUnknownPeer(t *testing.T) {
 	a, _ := newPair(t)
 	err := a.Send(context.Background(), &wire.Envelope{Type: msg.TRepReq, Dst: 99, Category: metrics.CatSync, Payload: msg.RepReq{}})
-	if !errors.Is(err, transport.ErrUnknownPeer) {
+	if !errors.Is(err, ErrUnknownPeer) {
 		t.Errorf("send to unknown peer: %v", err)
 	}
 }
@@ -140,7 +152,7 @@ func TestSendAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := a.Send(context.Background(), &wire.Envelope{Type: msg.TRepReq, Dst: 2, Category: metrics.CatSync, Payload: msg.RepReq{}})
-	if !errors.Is(err, transport.ErrClosed) {
+	if !errors.Is(err, ErrClosed) {
 		t.Errorf("send after close: %v", err)
 	}
 }
@@ -260,21 +272,24 @@ func TestDuplicateSuppression(t *testing.T) {
 	}
 }
 
-// TestSendWaitAcked: SendWait returns nil once the peer acks.
-func TestSendWaitAcked(t *testing.T) {
+// TestSendAcked: a send to a live peer is acknowledged, once, and nothing
+// is dropped.
+func TestSendAcked(t *testing.T) {
 	a, b := newPair(t)
 	serve(b, func(*wire.Envelope) {})
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := a.SendWait(ctx, &wire.Envelope{Type: msg.TRepReq, Dst: 2, Category: metrics.CatSync, Payload: msg.RepReq{}}); err != nil {
-		t.Fatalf("SendWait to live peer: %v", err)
+	sendAcked(t, a, &wire.Envelope{Type: msg.TRepReq, Dst: 2, Category: metrics.CatSync, Payload: msg.RepReq{}})
+	if got := a.Metrics().Counter(CtrAckRx); got != 1 {
+		t.Errorf("acks received = %d, want 1", got)
+	}
+	if got := a.Metrics().Counter(CtrSendDrop); got != 0 {
+		t.Errorf("send drops = %d, want 0", got)
 	}
 }
 
-// TestSendWaitRetriesExhausted: a silent peer (raw socket that never acks)
-// must surface ErrRetriesExhausted, and the tracer must have seen the
-// retry/drop sequence.
-func TestSendWaitRetriesExhausted(t *testing.T) {
+// TestRetriesExhaustedDrops: a send to a silent peer (raw socket that
+// never acks) ends in one send_drop and a transport_drop event with detail
+// retries_exhausted, after the full retry sequence.
+func TestRetriesExhaustedDrops(t *testing.T) {
 	ring := obs.NewRing(64)
 	tracer := obs.NewTracer(nil, ring)
 	a, err := New(Config{ID: 1, RetryBase: 5 * time.Millisecond, MaxAttempts: 3, Tracer: tracer})
@@ -292,11 +307,14 @@ func TestSendWaitRetriesExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	err = a.SendWait(ctx, &wire.Envelope{Type: msg.TRepReq, Dst: 2, Category: metrics.CatSync, Payload: msg.RepReq{}})
-	if !errors.Is(err, transport.ErrRetriesExhausted) {
-		t.Fatalf("SendWait to silent peer: %v, want ErrRetriesExhausted", err)
+	env := &wire.Envelope{Type: msg.TRepReq, Dst: 2, Category: metrics.CatSync, Payload: msg.RepReq{}}
+	if err := a.Send(context.Background(), env); err != nil {
+		t.Fatal(err)
+	}
+	a.Flush()
+	waitFor(t, 10*time.Second, func() bool { return a.Metrics().Counter(CtrSendDrop) == 1 })
+	if got := a.Metrics().Counter(CtrAckRx); got != 0 {
+		t.Errorf("acks received from a silent peer = %d, want 0", got)
 	}
 	var sends, retries, drops int
 	for _, e := range ring.Snapshot() {
@@ -307,6 +325,9 @@ func TestSendWaitRetriesExhausted(t *testing.T) {
 			retries++
 		case obs.EvTransportDrop:
 			drops++
+			if e.Detail != "retries_exhausted" || e.MsgID != env.MsgID {
+				t.Errorf("transport_drop event %+v, want detail retries_exhausted for message %d", e, env.MsgID)
+			}
 		}
 	}
 	if sends != 1 || retries != 2 || drops != 1 {

@@ -8,7 +8,7 @@
 // The implementation lives in internal packages; this package re-exports
 // the surface a downstream user needs:
 //
-//   - NewRuntime builds the simulation fabric (virtual clock, mobility,
+//   - New builds the simulation fabric (virtual clock, mobility,
 //     unit-disk radio, message layer, metrics).
 //   - NewQuorum / NewMANETconf / NewBuddy / NewCTree construct protocol
 //     instances over a runtime.
@@ -39,8 +39,6 @@ type (
 	// Runtime bundles the simulator, topology, network and metrics of one
 	// run.
 	Runtime = protocol.Runtime
-	// RuntimeConfig parameterizes NewRuntime.
-	RuntimeConfig = protocol.RuntimeConfig
 	// NodeID identifies a node.
 	NodeID = radio.NodeID
 	// Point is a position in meters.
@@ -129,14 +127,6 @@ type (
 	// TraceEvent is one message of a Table-1 trace.
 	TraceEvent = experiment.TraceEvent
 )
-
-// NewRuntime assembles the simulation fabric from the legacy config
-// struct.
-//
-// Deprecated: use New with functional options (WithSeed,
-// WithTransmissionRange, WithPerHopDelay, WithTracer, WithCollector,
-// WithClock).
-func NewRuntime(cfg RuntimeConfig) (*Runtime, error) { return protocol.NewRuntime(cfg) }
 
 // New assembles the simulation fabric from functional options; see
 // observability.go for the option list.
